@@ -5,12 +5,21 @@
 //! 2-choice, 4-slot-per-bucket cuckoo table in the style of
 //! `rte_hash`: lookups probe at most two buckets (one cache line each);
 //! inserts displace entries along a bounded random walk.
+//!
+//! Host storage is lazy: a bucket is stored only once an entry is
+//! placed in it, so host memory follows the flows a run touches while
+//! `bucket_count` (and the simulated table region sized from it) keeps
+//! the full configured capacity.
 
+use pm_click::ConfigError;
 use pm_sim::SplitMix64;
 use std::hash::{Hash, Hasher};
 
 /// Slots per bucket (one 64-B cache line of entries).
 pub const SLOTS: usize = 4;
+/// Largest accepted bucket count: covers `buckets_for(MAX_FLOWS)`
+/// (2^24) with headroom and keeps every `u32` store index in range.
+pub const MAX_BUCKETS: usize = 1 << 25;
 /// Maximum displacement steps before an insert is declared failed.
 const MAX_KICKS: usize = 64;
 
@@ -36,7 +45,11 @@ impl<K: Copy, V: Copy> Bucket<K, V> {
 /// A cuckoo hash map with copyable keys and values.
 #[derive(Debug, Clone)]
 pub struct CuckooHash<K, V> {
-    buckets: Vec<Bucket<K, V>>,
+    /// Per-bucket position in `store`; 0 means the bucket has never
+    /// held an entry and reads see the shared empty `store[0]`.
+    index: Vec<u32>,
+    /// Buckets that have held an entry, behind the empty `store[0]`.
+    store: Vec<Bucket<K, V>>,
     mask: u64,
     len: usize,
     kick_rng: SplitMix64,
@@ -68,10 +81,20 @@ fn hash_of<K: Hash>(k: &K, seed: u64) -> u64 {
 impl<K: Hash + Eq + Copy, V: Copy> CuckooHash<K, V> {
     /// Creates a table with `n_buckets` buckets (rounded up to a power of
     /// two). Capacity is `n_buckets * SLOTS` entries at best.
+    ///
+    /// # Panics
+    ///
+    /// If `n_buckets` exceeds [`MAX_BUCKETS`]; the `BUCKETS` and
+    /// `CONNTRACK` config options reject such counts with an error.
     pub fn new(n_buckets: usize) -> Self {
+        assert!(
+            n_buckets <= MAX_BUCKETS,
+            "{n_buckets} buckets exceed MAX_BUCKETS ({MAX_BUCKETS})"
+        );
         let n = n_buckets.next_power_of_two().max(2);
         CuckooHash {
-            buckets: vec![Bucket::empty(); n],
+            index: vec![0; n],
+            store: vec![Bucket::empty()],
             mask: (n - 1) as u64,
             len: 0,
             kick_rng: SplitMix64::new(0xC0C0_0C0C),
@@ -83,12 +106,17 @@ impl<K: Hash + Eq + Copy, V: Copy> CuckooHash<K, V> {
 
     /// Number of buckets.
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
+        self.index.len()
     }
 
     /// Maximum entries the table can hold (`buckets × SLOTS`).
     pub fn capacity(&self) -> usize {
-        self.buckets.len() * SLOTS
+        self.index.len() * SLOTS
+    }
+
+    /// Buckets held in host memory: those that have ever held an entry.
+    pub fn stored_buckets(&self) -> usize {
+        self.store.len() - 1
     }
 
     /// Displacement steps taken across all inserts so far.
@@ -144,8 +172,23 @@ impl<K: Hash + Eq + Copy, V: Copy> CuckooHash<K, V> {
         self.lookup_visit(key, |_| {})
     }
 
+    #[inline]
+    fn bucket(&self, b: usize) -> &Bucket<K, V> {
+        &self.store[self.index[b] as usize]
+    }
+
+    /// Bucket `b` for writing, stored on first use.
+    fn bucket_mut(&mut self, b: usize) -> &mut Bucket<K, V> {
+        if self.index[b] == 0 {
+            self.index[b] = u32::try_from(self.store.len())
+                .expect("store holds at most MAX_BUCKETS + 1 buckets");
+            self.store.push(Bucket::empty());
+        }
+        &mut self.store[self.index[b] as usize]
+    }
+
     fn scan(&self, b: usize, key: &K) -> Option<V> {
-        self.buckets[b]
+        self.bucket(b)
             .slots
             .iter()
             .flatten()
@@ -153,14 +196,25 @@ impl<K: Hash + Eq + Copy, V: Copy> CuckooHash<K, V> {
             .map(|e| e.value)
     }
 
+    /// Where `key` lives, as a (store position, slot) pair, searching
+    /// `b1` then `b2`. A hit is always a stored bucket.
+    fn locate(&self, b1: usize, b2: usize, key: &K) -> Option<(usize, usize)> {
+        [b1, b2].into_iter().find_map(|b| {
+            let s = self.index[b] as usize;
+            self.store[s]
+                .slots
+                .iter()
+                .position(|e| matches!(e, Some(e) if e.key == *key))
+                .map(|i| (s, i))
+        })
+    }
+
     fn try_place(&mut self, b: usize, e: Entry<K, V>) -> bool {
-        for slot in &mut self.buckets[b].slots {
-            if slot.is_none() {
-                *slot = Some(e);
-                return true;
-            }
-        }
-        false
+        let Some(i) = self.bucket(b).slots.iter().position(Option::is_none) else {
+            return false;
+        };
+        self.bucket_mut(b).slots[i] = Some(e);
+        true
     }
 
     /// Inserts `key → value`, visiting each touched bucket via `probe`.
@@ -174,13 +228,12 @@ impl<K: Hash + Eq + Copy, V: Copy> CuckooHash<K, V> {
         probe(b1);
         probe(b2);
         // Replace in place if present.
-        for b in [b1, b2] {
-            for e in self.buckets[b].slots.iter_mut().flatten() {
-                if e.key == key {
-                    e.value = value;
-                    return InsertOutcome::Replaced;
-                }
-            }
+        if let Some((s, i)) = self.locate(b1, b2, &key) {
+            let e = self.store[s].slots[i]
+                .as_mut()
+                .expect("located slot is occupied");
+            e.value = value;
+            return InsertOutcome::Replaced;
         }
         let mut entry = Entry { key, value };
         if self.try_place(b1, entry) || self.try_place(b2, entry) {
@@ -191,7 +244,8 @@ impl<K: Hash + Eq + Copy, V: Copy> CuckooHash<K, V> {
         let mut b = b1;
         for kick in 0..MAX_KICKS {
             let victim_slot = (self.kick_rng.next_u64() % SLOTS as u64) as usize;
-            let victim = self.buckets[b].slots[victim_slot]
+            // `b` is full, so it is already stored: no allocation here.
+            let victim = self.bucket_mut(b).slots[victim_slot]
                 .replace(entry)
                 .expect("displacement always targets a full bucket");
             self.displacements += 1;
@@ -222,31 +276,38 @@ impl<K: Hash + Eq + Copy, V: Copy> CuckooHash<K, V> {
     /// the key was found.
     pub fn update(&mut self, key: &K, f: impl FnOnce(&mut V)) -> bool {
         let (b1, b2) = self.bucket_pair(key);
-        for b in [b1, b2] {
-            for e in self.buckets[b].slots.iter_mut().flatten() {
-                if e.key == *key {
-                    f(&mut e.value);
-                    return true;
-                }
-            }
-        }
-        false
+        let Some((s, i)) = self.locate(b1, b2, key) else {
+            return false;
+        };
+        let e = self.store[s].slots[i]
+            .as_mut()
+            .expect("located slot is occupied");
+        f(&mut e.value);
+        true
     }
 
     /// Removes `key`, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let (b1, b2) = self.bucket_pair(key);
-        for b in [b1, b2] {
-            for slot in &mut self.buckets[b].slots {
-                if matches!(slot, Some(e) if e.key == *key) {
-                    let e = slot.take().expect("matched above");
-                    self.len -= 1;
-                    return Some(e.value);
-                }
-            }
-        }
-        None
+        let (s, i) = self.locate(b1, b2, key)?;
+        let e = self.store[s].slots[i]
+            .take()
+            .expect("located slot is occupied");
+        self.len -= 1;
+        Some(e.value)
     }
+}
+
+/// Parses a bucket-count option (`BUCKETS n`, `CONNTRACK n`), rejecting
+/// 0 and anything above [`MAX_BUCKETS`].
+pub(crate) fn parse_buckets(option: &str, v: &str) -> Result<usize, ConfigError> {
+    v.parse()
+        .ok()
+        .filter(|n| (1..=MAX_BUCKETS).contains(n))
+        .ok_or_else(|| ConfigError::Element {
+            element: String::new(),
+            message: format!("bad {option} {v:?} (1..={MAX_BUCKETS})"),
+        })
 }
 
 #[cfg(test)]
@@ -310,6 +371,31 @@ mod tests {
         h.insert(1, 1);
         assert_eq!(h.lookup(&2), None);
         assert_eq!(h.remove(&2), None);
+    }
+
+    #[test]
+    fn host_storage_follows_writes() {
+        let flows = 1_000_000;
+        let mut h: CuckooHash<u64, u64> =
+            CuckooHash::new(crate::configs::buckets_for(flows) as usize);
+        assert_eq!(h.stored_buckets(), 0, "an empty table stores nothing");
+        let n = 5_000u64;
+        for k in 0..n {
+            assert_eq!(h.insert(k, k), InsertOutcome::Inserted);
+        }
+        let stored = h.stored_buckets();
+        assert!(
+            stored > 0 && stored <= n as usize,
+            "{stored} buckets for {n} inserts"
+        );
+        // Reads, removes and updates of absent keys store nothing.
+        for k in n..4 * n {
+            assert_eq!(h.lookup_visit(&k, |_| {}), None);
+            assert_eq!(h.remove(&k), None);
+            assert!(!h.update(&k, |v| *v += 1));
+        }
+        assert_eq!(h.stored_buckets(), stored);
+        assert_eq!(h.bucket_count(), 1 << 19, "capacity stays full-size");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! region charged per rule scanned, so bigger rulesets genuinely cost
 //! more — useful for rule-count sweeps.
 
-use crate::cuckoo::CuckooHash;
+use crate::cuckoo::{parse_buckets, CuckooHash};
 use crate::nat::FlowKey;
 use crate::trie::parse_cidr;
 use pm_click::{Action, Args, ConfigError, Ctx, Element, Pkt, TableStats};
@@ -170,10 +170,7 @@ impl Element for IpFilter {
             // Policy keywords are element options, not rules.
             match a.key.as_deref() {
                 Some("CONNTRACK") => {
-                    let n: usize = a
-                        .value
-                        .parse()
-                        .map_err(|_| bad(format!("bad CONNTRACK {:?}", a.value)))?;
+                    let n = parse_buckets("CONNTRACK", &a.value)?;
                     self.conntrack = Some(CuckooHash::new(n));
                     continue;
                 }
@@ -520,6 +517,16 @@ mod tests {
         // Policy keywords alone don't make a ruleset either.
         let mut el = IpFilter::default();
         assert!(el.configure(&Args::parse("CONNTRACK 64")).is_err());
+    }
+
+    #[test]
+    fn bad_conntrack_sizes_rejected() {
+        for v in ["0", "18446744073709551615", "1000000000000000", "33554433"] {
+            let err = IpFilter::default()
+                .configure(&Args::parse(&format!("CONNTRACK {v}, allow proto tcp")))
+                .expect_err(v);
+            assert!(matches!(err, ConfigError::Element { .. }), "{v}: {err:?}");
+        }
     }
 
     fn run_at(el: &mut IpFilter, frame: &mut Vec<u8>, arrival: SimTime) -> Action {

@@ -7,7 +7,7 @@
 //! resulting in more lookups and higher memory usage"). Both the IPv4
 //! header checksum and the TCP/UDP checksum are patched incrementally.
 
-use crate::cuckoo::{CuckooHash, InsertOutcome};
+use crate::cuckoo::{parse_buckets, CuckooHash, InsertOutcome};
 use pm_click::{Action, Args, ConfigError, Ctx, Element, Pkt, TableStats};
 use pm_mem::{AccessKind, AddressSpace, Region};
 use pm_packet::checksum::{update16, update32};
@@ -94,6 +94,12 @@ impl Default for IpRewriter {
 }
 
 impl IpRewriter {
+    /// Flow-table buckets held in host memory; see
+    /// [`CuckooHash::stored_buckets`].
+    pub fn stored_buckets(&self) -> usize {
+        self.table.stored_buckets()
+    }
+
     fn charge_probe(ctx: &mut Ctx<'_>, region: Region, bucket: usize) {
         ctx.cost += ctx.mem.access(
             ctx.core,
@@ -127,11 +133,7 @@ impl Element for IpRewriter {
             self.ext_ip = ip.to_be_bytes();
         }
         if let Some(v) = args.get("BUCKETS") {
-            let n: usize = v.parse().map_err(|_| ConfigError::Element {
-                element: String::new(),
-                message: format!("bad BUCKETS {v:?}"),
-            })?;
-            self.table = CuckooHash::new(n);
+            self.table = CuckooHash::new(parse_buckets("BUCKETS", v)?);
         }
         if let Some(v) = args.get("IDLE_US") {
             let us: f64 = v.parse().map_err(|_| ConfigError::Element {
@@ -519,6 +521,28 @@ mod tests {
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.insertions, 1);
         assert_eq!(el.table_regions().len(), 1);
+    }
+
+    #[test]
+    fn bad_bucket_counts_rejected() {
+        // u64::MAX would wrap `next_power_of_two` to a 2-bucket table in
+        // release builds; 10^15 buckets cannot be allocated at all.
+        for v in [
+            "0",
+            "18446744073709551615",
+            "1000000000000000",
+            "33554433",
+            "-1",
+            "x",
+        ] {
+            let err = IpRewriter::default()
+                .configure(&Args::parse(&format!("BUCKETS {v}")))
+                .expect_err(v);
+            assert!(matches!(err, ConfigError::Element { .. }), "{v}: {err:?}");
+        }
+        let mut el = IpRewriter::default();
+        el.configure(&Args::parse("BUCKETS 33554432")).unwrap();
+        assert_eq!(el.table.bucket_count(), crate::cuckoo::MAX_BUCKETS);
     }
 
     #[test]

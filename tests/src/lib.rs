@@ -1,1 +1,4 @@
-//! integration placeholder
+//! Shared code for the integration tests: reference oracles that stay
+//! out of the production crates.
+
+pub mod dense_cuckoo;

@@ -100,6 +100,126 @@ mod cuckoo {
     }
 }
 
+mod cuckoo_dense_oracle {
+    use super::*;
+    use pm_elements::cuckoo::CuckooHash;
+    use pm_integration_tests::dense_cuckoo::DenseCuckoo;
+    use pm_sim::SplitMix64;
+    use proptest::TestCaseError;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Insert(u16, u32),
+        Lookup(u16),
+        Update(u16, u32),
+        Remove(u16),
+    }
+
+    /// 256 keys: more than an undersized table's slots, so streams hit
+    /// `Full`, evictions and long displacement chains.
+    const KEYS: u16 = 256;
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k % KEYS, v)),
+            any::<u16>().prop_map(|k| Op::Lookup(k % KEYS)),
+            (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Update(k % KEYS, v)),
+            any::<u16>().prop_map(|k| Op::Remove(k % KEYS)),
+        ]
+    }
+
+    /// Drives the lazily stored table and the dense oracle with the same
+    /// stream, asserting identical outcomes, values, probed bucket
+    /// sequences and counters after every operation.
+    fn lockstep(
+        n_buckets: usize,
+        ops: impl IntoIterator<Item = Op>,
+    ) -> Result<CuckooHash<u16, u32>, TestCaseError> {
+        let mut lazy: CuckooHash<u16, u32> = CuckooHash::new(n_buckets);
+        let mut dense: DenseCuckoo<u16, u32> = DenseCuckoo::new(n_buckets);
+        prop_assert_eq!(lazy.bucket_count(), dense.bucket_count());
+        prop_assert_eq!(lazy.capacity(), dense.capacity());
+        for (step, op) in ops.into_iter().enumerate() {
+            let (mut lp, mut dp) = (Vec::new(), Vec::new());
+            match op {
+                Op::Insert(k, v) => prop_assert_eq!(
+                    lazy.insert_visit(k, v, |b| lp.push(b)),
+                    dense.insert_visit(k, v, |b| dp.push(b)),
+                    "step {step}: {op:?}"
+                ),
+                Op::Lookup(k) => prop_assert_eq!(
+                    lazy.lookup_visit(&k, |b| lp.push(b)),
+                    dense.lookup_visit(&k, |b| dp.push(b)),
+                    "step {step}: {op:?}"
+                ),
+                Op::Update(k, v) => prop_assert_eq!(
+                    lazy.update(&k, |x| *x ^= v),
+                    dense.update(&k, |x| *x ^= v),
+                    "step {step}: {op:?}"
+                ),
+                Op::Remove(k) => {
+                    prop_assert_eq!(lazy.remove(&k), dense.remove(&k), "step {step}: {op:?}")
+                }
+            }
+            prop_assert_eq!(lp, dp, "step {step}: probe sequence of {op:?}");
+            prop_assert_eq!(
+                (
+                    lazy.len(),
+                    lazy.displacements(),
+                    lazy.max_chain(),
+                    lazy.evictions()
+                ),
+                (
+                    dense.len(),
+                    dense.displacements(),
+                    dense.max_chain(),
+                    dense.evictions()
+                ),
+                "step {step}: counters after {op:?}"
+            );
+        }
+        for k in 0..KEYS {
+            prop_assert_eq!(lazy.lookup(&k), dense.lookup(&k), "final key {k}");
+        }
+        prop_assert!(lazy.stored_buckets() <= lazy.bucket_count());
+        Ok(lazy)
+    }
+
+    proptest! {
+        /// Storing buckets on first write is invisible: for tables from
+        /// 2 buckets (8 slots, overdriven) to 128 (512 slots, roomy),
+        /// the lazy table matches the dense oracle step for step.
+        #[test]
+        fn lazy_cuckoo_matches_dense_oracle(
+            shift in 1u32..8,
+            ops in proptest::collection::vec(op_strategy(), 1..600),
+        ) {
+            lockstep(1 << shift, ops)?;
+        }
+    }
+
+    /// A long stream against a 16-bucket table reaches the kick limit,
+    /// so the lock-step comparison covers `Full` outcomes, evictions and
+    /// full-length displacement chains.
+    #[test]
+    fn overdriven_table_matches_dense_oracle() {
+        let mut rng = SplitMix64::new(0xDE45E);
+        let ops = (0..20_000).map(|_| {
+            let k = (rng.next_u64() % u64::from(KEYS)) as u16;
+            let v = rng.next_u64() as u32;
+            match rng.next_u64() % 8 {
+                0..=3 => Op::Insert(k, v),
+                4 | 5 => Op::Lookup(k),
+                6 => Op::Update(k, v),
+                _ => Op::Remove(k),
+            }
+        });
+        let lazy = lockstep(16, ops).unwrap_or_else(|e| panic!("{e}"));
+        assert!(lazy.evictions() > 0, "the stream must overdrive the table");
+        assert_eq!(lazy.max_chain(), 64, "a walk must hit the kick limit");
+    }
+}
+
 mod checksum {
     use super::*;
     use pm_packet::checksum::{checksum, update16, update32};

@@ -1,7 +1,8 @@
 //! Million-entry table stress: the cuckoo flow table against a
 //! `HashMap` oracle at 1M entries, the displacement-chain bound, the
-//! LPM trie against a masked-prefix oracle at 1M routes, and expiry
-//! determinism for the scaled NAT under churn.
+//! LPM trie against a masked-prefix oracle at 1M routes, expiry
+//! determinism for the scaled NAT under churn, and host table storage
+//! that follows the flows a scaled-NAT run inserts.
 //!
 //! The full-size populations only run under `--release` (CI); debug
 //! builds scale down to keep `cargo test` quick.
@@ -224,4 +225,77 @@ fn nat_expiry_accounting_is_deterministic() {
     let nat = t1.iter().find(|t| t.kind == "cuckoo").expect("NAT table");
     assert!(nat.expiries > 0, "churn past IDLE_US must expire bindings");
     assert!(nat.occupancy <= nat.capacity);
+}
+
+/// A scaled NAT keeps its full-size table (the simulated region is
+/// `bucket_count × 64` B) but holds in host memory only the buckets its
+/// inserts wrote: at most one per insertion.
+#[test]
+fn scaled_nat_stores_only_written_buckets() {
+    use pm_click::{Annos, Args, Ctx, Element, ExecPlan, MetadataModel, Pkt};
+    use pm_dpdk::RxDesc;
+    use pm_elements::nat::IpRewriter;
+    use pm_mem::{AddressSpace, MemoryHierarchy};
+    use pm_sim::SimTime;
+    use pm_traffic::workload::Workload;
+
+    let flows = if cfg!(debug_assertions) {
+        50_000
+    } else {
+        1_000_000
+    };
+    // The `nat_scaled` preset's IPRewriter arguments.
+    let buckets = buckets_for(flows);
+    let mut nat = IpRewriter::default();
+    nat.configure(&Args::parse(&format!(
+        "EXTIP 198.51.100.1, BUCKETS {buckets}, IDLE_US 1000, EVICT true"
+    )))
+    .expect("preset arguments parse");
+    nat.setup(&mut AddressSpace::new());
+
+    let workload = Workload::new(pm_bench::figures::flowscale_workload(flows));
+    let frames = workload.frames() as u64;
+    let mut mem = MemoryHierarchy::skylake(1);
+    let plan = ExecPlan::vanilla(MetadataModel::Copying);
+    let mut ctx = Ctx::new(0, &mut mem, &plan);
+    ctx.state = pm_mem::Region {
+        base: 0x900,
+        size: 64,
+    };
+    // Two passes over the trace at ~8 Mpps: the second pass crosses the
+    // 1-ms idle timeout, so expiries and re-inserts happen too.
+    for seq in 0..2 * frames {
+        let mut frame = workload.build_frame(seq % frames);
+        let len = frame.len();
+        let arrival = SimTime::from_ns(seq as f64 * 125.0);
+        let mut pkt = Pkt {
+            data: &mut frame,
+            len,
+            desc: RxDesc {
+                buf_id: 0,
+                len: len as u32,
+                rss_hash: 0,
+                arrival,
+                gen: SimTime::ZERO,
+                seq,
+                data_addr: 0x10_000,
+                meta_addr: 0x20_000,
+                xslot: None,
+            },
+            meta_addr: 0x20_000,
+            annos: Annos::default(),
+        };
+        nat.process(&mut ctx, &mut pkt);
+    }
+
+    let stats = nat.table_stats().expect("NAT reports its table");
+    assert_eq!(stats.capacity, buckets * 4, "capacity stays full-size");
+    assert!(stats.insertions > 0 && stats.expiries > 0, "{stats:?}");
+    let stored = nat.stored_buckets() as u64;
+    assert!(
+        stored <= stats.insertions,
+        "{stored} stored buckets for {} insertions",
+        stats.insertions
+    );
+    assert!(stored < buckets, "{stored} of {buckets} buckets stored");
 }
